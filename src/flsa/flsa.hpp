@@ -14,7 +14,6 @@
 #include "core/fastlsa.hpp"
 #include "core/local_align.hpp"
 #include "core/semiglobal.hpp"
-#include "core/textutil.hpp"
 #include "dp/alignment.hpp"
 #include "dp/antidiagonal.hpp"
 #include "dp/banded.hpp"
@@ -41,7 +40,6 @@
 #include "search/chain.hpp"
 #include "search/kmer_index.hpp"
 #include "search/reference_index.hpp"
-#include "search/seed_extend.hpp"
 
 #include "scoring/builtin.hpp"
 #include "scoring/matrix_io.hpp"

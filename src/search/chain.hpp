@@ -32,10 +32,14 @@
 #include "dp/alignment.hpp"
 #include "scoring/scheme.hpp"
 #include "search/reference_index.hpp"
-#include "search/seed_extend.hpp"
 
 namespace flsa {
 namespace search {
+
+/// One final gapped hit.
+struct SearchHit {
+  Alignment alignment;  ///< local alignment; regions are subject-global
+};
 
 /// A maximal run of merged exact k-mer matches on one diagonal:
 /// query[q_begin, q_end) equals subject[s_begin, s_end) residue for

@@ -238,6 +238,39 @@ TEST(ChainedSearch, HitsAreSortedAndDisjointInTheReference) {
   }
 }
 
+TEST(ChainedSearch, MotifAndNearbySuffixCopyYieldDisjointHits) {
+  // The subject carries the full motif M and, 20 bp later, a copy of M's
+  // suffix, so the query's second half anchors in both places. The suffix
+  // chain's flank extension runs toward the full-motif hit; the reported
+  // hits must still be disjoint in the reference.
+  Xoshiro256 rng(271);
+  const Sequence motif = random_sequence(Alphabet::dna(), 120, rng);
+  const Sequence suffix = motif.subsequence(60, 60);
+  const Sequence subject(
+      Alphabet::dna(),
+      random_sequence(Alphabet::dna(), 500, rng).to_string() +
+          motif.to_string() +
+          random_sequence(Alphabet::dna(), 20, rng).to_string() +
+          suffix.to_string() +
+          random_sequence(Alphabet::dna(), 400, rng).to_string());
+  const search::ReferenceIndex index(subject, 8);
+  const auto hits = search::chained_search(motif, index, scheme());
+  ASSERT_FALSE(hits.empty());
+  // The top hit is the planted full motif.
+  EXPECT_LE(hits[0].alignment.b_begin, 500u);
+  EXPECT_GE(hits[0].alignment.b_end, 620u);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    for (std::size_t j = i + 1; j < hits.size(); ++j) {
+      const Alignment& a = hits[i].alignment;
+      const Alignment& b = hits[j].alignment;
+      EXPECT_TRUE(a.b_end <= b.b_begin || b.b_end <= a.b_begin)
+          << "hits " << i << " [" << a.b_begin << "," << a.b_end
+          << ") and " << j << " [" << b.b_begin << "," << b.b_end
+          << ") overlap in the reference";
+    }
+  }
+}
+
 TEST(ChainedSearch, PropertyScoresAreSelfConsistentAndBoundedBySw) {
   // Fixed-seed property sweep: chained hits never beat the Smith-
   // Waterman optimum (they are local alignments of the same pair) and

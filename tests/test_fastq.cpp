@@ -3,7 +3,7 @@
 
 #include <sstream>
 
-#include "core/textutil.hpp"
+#include "dp/kernel.hpp"
 #include "msa/center_star.hpp"
 #include "scoring/builtin.hpp"
 #include "sequence/fastq.hpp"
@@ -133,11 +133,14 @@ TEST(Consensus, RecoversAncestorOfACleanFamily) {
   const ScoringScheme scheme(m, -6);
   const msa::MultipleAlignment aln =
       msa::center_star_align(family, scheme);
-  const std::string cons = msa::consensus(aln, Alphabet::dna());
+  const Sequence cons(Alphabet::dna(), msa::consensus(aln, Alphabet::dna()));
   // Independent mutations mostly cancel: the consensus is very close to
-  // the ancestor.
-  const double d = static_cast<double>(
-      edit_distance(cons, ancestor.to_string()));
+  // the ancestor. Unit-cost edit distance is minus the global score under
+  // match 0, mismatch -1, gap -1.
+  const SubstitutionMatrix identity = scoring::identity(Alphabet::dna(), 0, -1);
+  const ScoringScheme unit_cost(identity, -1);
+  const double d = -static_cast<double>(global_score_linear(
+      cons.residues(), ancestor.residues(), unit_cost));
   EXPECT_LT(d / static_cast<double>(ancestor.size()), 0.10);
 }
 

@@ -105,12 +105,11 @@ TEST_P(FuzzSweep, AllGlobalAlgorithmsAgree) {
         ASSERT_EQ(pruned.gapped_b, fm.gapped_b)
             << "prune/" << to_string(kind);
         // Parallel FastLSA: same alignment, tile wavefront, both kernels,
-        // all three schedulers (first trial only; the tiny problems make
+        // both schedulers (first trial only; the tiny problems make
         // threads pure overhead).
         if (trial == 0) {
           for (SchedulerKind sched : {SchedulerKind::kBarrierStaged,
-                                      SchedulerKind::kDependencyCounter,
-                                      SchedulerKind::kWorkStealing}) {
+                                      SchedulerKind::kDependencyCounter}) {
             ParallelOptions popts;
             popts.threads = 2;
             popts.scheduler = sched;
@@ -232,8 +231,7 @@ TEST(FuzzGolden, PaperExampleUnderEveryKernel) {
         << to_string(kind);
     ASSERT_EQ(stats.kernel_used, resolve_kernel(kind));
     for (SchedulerKind sched : {SchedulerKind::kBarrierStaged,
-                                SchedulerKind::kDependencyCounter,
-                                SchedulerKind::kWorkStealing}) {
+                                SchedulerKind::kDependencyCounter}) {
       ParallelOptions popts;
       popts.threads = 2;
       popts.scheduler = sched;

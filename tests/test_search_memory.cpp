@@ -1,10 +1,10 @@
-// Memory regression tests for the search pipeline's gapped stage: the
-// linear-space local aligner must not allocate the O(|query| * window)
-// full Smith-Waterman matrix. A byte-counting global allocator (the
-// test_arena.cpp trick, counting sizes instead of calls) measures the
-// real heap traffic of both aligners and of seed_and_extend end to end —
-// reverting stage 3 to local_align_full_matrix fails these by an order
-// of magnitude.
+// Memory regression tests for local alignment against a long subject
+// window: neither the linear-space local aligner nor chained_search may
+// allocate the O(|query| * window) full Smith-Waterman matrix. A
+// byte-counting global allocator (the test_arena.cpp trick, counting
+// sizes instead of calls) measures the real heap traffic of both
+// aligners and of chained_search end to end — a quadratic gapped stage
+// fails these by an order of magnitude.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,7 @@
 #include "core/local_align.hpp"
 #include "dp/local.hpp"
 #include "scoring/builtin.hpp"
-#include "search/seed_extend.hpp"
+#include "search/chain.hpp"
 #include "sequence/generate.hpp"
 
 namespace {
@@ -74,8 +74,8 @@ TEST(SearchMemory, LinearSpaceAlignerAllocatesFarLessThanTheFullMatrix) {
           gene.to_string() +
           random_sequence(Alphabet::dna(), 1800, rng).to_string());
 
-  // The same linearly-bounded base case stage 3 of seed_and_extend uses:
-  // FastLSA recursion memory tracks the perimeter, not the cell product.
+  // A base case capped proportionally to the perimeter: FastLSA
+  // recursion memory tracks the perimeter, not the cell product.
   FastLsaOptions linear_options;
   linear_options.base_case_cells =
       8 * (gene.size() + window.size());
@@ -91,7 +91,7 @@ TEST(SearchMemory, LinearSpaceAlignerAllocatesFarLessThanTheFullMatrix) {
   EXPECT_EQ(linear_score, 400 * 5);
   // The full matrix holds |query| * |window| cells; linear space keeps
   // O(|query| + |window|) rows plus the FastLSA grid. An order of
-  // magnitude is a loose bound — reverting stage 3 trips it immediately.
+  // magnitude is a loose bound — a quadratic aligner trips it at once.
   EXPECT_LT(linear_bytes * 10, full_bytes)
       << "linear " << linear_bytes << " vs full " << full_bytes;
 }
@@ -133,11 +133,11 @@ TEST(SearchMemory, LinearSpaceScalesLinearlyFullMatrixQuadratically) {
       << linear_small << " -> " << linear_large;
 }
 
-TEST(SearchMemory, SeedAndExtendHeapTrafficStaysFarBelowTheMatrixProduct) {
-  // End to end: stage 3 aligns the query against a padded window of
-  // roughly |query| + 2 * window_pad subject residues per candidate. With
-  // the linear-space aligner the whole search allocates a small multiple
-  // of the sequences involved — nowhere near one full DP matrix.
+TEST(SearchMemory, ChainedSearchHeapTrafficStaysFarBelowTheMatrixProduct) {
+  // End to end: anchors, chaining and the banded gap fill of one planted
+  // gene. With DP restricted to the inter-anchor gaps, the whole search
+  // allocates a small multiple of the sequences involved — nowhere near
+  // one full DP matrix of the query against its padded subject window.
   Xoshiro256 rng(283);
   const Sequence gene = random_sequence(Alphabet::dna(), 1000, rng);
   MutationModel model;
@@ -148,24 +148,19 @@ TEST(SearchMemory, SeedAndExtendHeapTrafficStaysFarBelowTheMatrixProduct) {
       random_sequence(Alphabet::dna(), 4000, rng).to_string() +
           mutated.to_string() +
           random_sequence(Alphabet::dna(), 3000, rng).to_string());
-  const search::KmerIndex index(subject, 12);
+  const search::ReferenceIndex index(subject, 12);
 
-  search::SearchParams params;  // long seeds + a high floor: only the
-  params.k = 12;                // planted region yields candidates
-  params.min_ungapped_score = 80;
+  search::ChainedSearchParams params;
   params.max_hits = 4;
   std::size_t hit_count = 0;
   const std::uint64_t search_bytes = bytes_allocated_by([&] {
-    hit_count =
-        search::seed_and_extend(gene, index, scheme(), params).size();
+    hit_count = search::chained_search(gene, index, scheme(), params).size();
   });
   ASSERT_GT(hit_count, 0u);
 
-  const std::size_t window = gene.size() + 2 * params.window_pad;
-  // One full-matrix window is |query| * window cells at >= 4 bytes of
-  // score each. The *entire* pipeline — every candidate window — must
-  // stay under a single such matrix; the reverted full-matrix stage 3
-  // blows the bound on its very first candidate.
+  // One full-matrix window is |query| * (|query| + 2 * 32 padding) cells
+  // at >= 4 bytes of score each; the entire search must stay under it.
+  const std::size_t window = gene.size() + 2 * 32;
   const std::uint64_t one_matrix =
       static_cast<std::uint64_t>(gene.size()) * window * 4;
   EXPECT_LT(search_bytes, one_matrix)

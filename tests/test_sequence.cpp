@@ -38,6 +38,14 @@ TEST(Alphabet, RejectsDuplicateLetters) {
   EXPECT_THROW(Alphabet("aA", "bad-case"), std::invalid_argument);
 }
 
+TEST(Alphabet, CaseSensitiveMode) {
+  const Alphabet ab("aA", "case", /*case_sensitive=*/true);
+  EXPECT_EQ(ab.size(), 2u);
+  EXPECT_EQ(ab.code('a'), 0);
+  EXPECT_EQ(ab.code('A'), 1);
+  EXPECT_FALSE(ab.contains('b'));
+}
+
 TEST(Alphabet, RejectsEmpty) {
   EXPECT_THROW(Alphabet("", "empty"), std::invalid_argument);
 }
