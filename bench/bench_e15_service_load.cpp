@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -206,8 +207,10 @@ struct RouterTier {
 /// drives the router with the closed-loop sweep. Single-worker backends
 /// make the scaling story honest: each backend contributes one core of
 /// alignment capacity, so fleet throughput should track fleet size until
-/// the host runs out of cores.
+/// the host runs out of cores. `router_config` carries the router knobs;
+/// its backend list is filled in here.
 RouterTier run_router_tier(std::size_t backend_count,
+                           flsa::router::RouterConfig router_config,
                            const flsa::service::AlignRequest& prototype,
                            const std::vector<unsigned>& connection_levels,
                            std::size_t total_requests) {
@@ -223,7 +226,6 @@ RouterTier run_router_tier(std::size_t backend_count,
       obs::metrics().counter("router.failovers").value();
 
   std::vector<std::unique_ptr<flsa::service::AlignmentServer>> backends;
-  flsa::router::RouterConfig router_config;
   for (std::size_t i = 0; i < backend_count; ++i) {
     flsa::service::ServiceConfig backend_config;
     backend_config.workers = 1;
@@ -277,7 +279,8 @@ void write_json(const std::string& path, unsigned workers,
                 std::size_t pair_length, const std::vector<LoadRow>& rows,
                 std::size_t overload_accepted, std::size_t overload_rejected,
                 const std::string& fault_plan, const FaultyRun& faulty,
-                const std::vector<RouterTier>& tiers, double speedup_4_vs_1) {
+                const std::vector<RouterTier>& tiers,
+                double coalesce_off_peak_rps, double speedup_4_vs_1) {
   std::ofstream out(path);
   if (!out) return;
   out << "{\n  \"workers\": " << workers
@@ -297,8 +300,11 @@ void write_json(const std::string& path, unsigned workers,
   for (std::size_t t = 0; t < tiers.size(); ++t) {
     const RouterTier& tier = tiers[t];
     out << "      {\"backends\": " << tier.backends
-        << ", \"peak_rps\": " << tier.peak_rps()
-        << ", \"hedges_issued\": " << tier.hedges_issued
+        << ", \"peak_rps\": " << tier.peak_rps();
+    if (tier.backends == 2) {
+      out << ", \"coalesce_off_peak_rps\": " << coalesce_off_peak_rps;
+    }
+    out << ", \"hedges_issued\": " << tier.hedges_issued
         << ", \"hedges_won\": " << tier.hedges_won
         << ", \"coalesce_batches\": " << tier.coalesce_batches
         << ", \"coalesce_jobs\": " << tier.coalesce_jobs
@@ -436,21 +442,30 @@ int main() {
   std::vector<RouterTier> tiers;
   flsa::Table router_table({"backends", "conns", "req/s", "p50 ms", "p95 ms",
                             "p99 ms", "errors"});
-  for (std::size_t backend_count : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-    const RouterTier tier = run_router_tier(backend_count, router_prototype,
-                                            router_connections, 1024);
+  const auto add_tier_rows = [&](const RouterTier& tier,
+                                 const std::string& label) {
     for (const LoadRow& row : tier.rows) {
-      router_table.add_row({std::to_string(tier.backends),
-                            std::to_string(row.connections),
+      router_table.add_row({label, std::to_string(row.connections),
                             flsa::Table::num(row.rps),
                             flsa::Table::num(row.latency.p50),
                             flsa::Table::num(row.latency.p95),
                             flsa::Table::num(row.latency.p99),
                             std::to_string(row.errors)});
     }
-    tiers.push_back(tier);
+  };
+  for (std::size_t backend_count : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}}) {
+    tiers.push_back(run_router_tier(backend_count, {}, router_prototype,
+                                    router_connections, 1024));
+    add_tier_rows(tiers.back(), std::to_string(backend_count));
   }
+  // Ablation: the 2-backend tier with coalescing off (every ALIGN its own
+  // frame). Reported, not gated.
+  flsa::router::RouterConfig coalesce_off_config;
+  coalesce_off_config.coalesce_max_jobs = 1;
+  const RouterTier coalesce_off = run_router_tier(
+      2, coalesce_off_config, router_prototype, router_connections, 1024);
+  add_tier_rows(coalesce_off, "2 (coalesce off)");
   router_table.print(std::cout);
   const double speedup_4_vs_1 =
       tiers.front().peak_rps() > 0.0
@@ -471,7 +486,8 @@ int main() {
                " gate asserts >= 2.5x on 4-vCPU runners)\n";
 
   write_json("BENCH_service.json", workers, pair_length, rows, accepted,
-             rejected, fault_plan_spec, faulty, tiers, speedup_4_vs_1);
+             rejected, fault_plan_spec, faulty, tiers, coalesce_off.peak_rps(),
+             speedup_4_vs_1);
   std::cout << "\nwrote BENCH_service.json\n";
   return 0;
 }

@@ -30,8 +30,6 @@
 #include "dp/query_profile.hpp"
 #include "hirschberg/hirschberg.hpp"
 #include "hirschberg/hirschberg_affine.hpp"
-#include "msa/center_star.hpp"
-#include "msa/progressive.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -46,7 +44,6 @@
 #include "scoring/scheme.hpp"
 #include "scoring/statistics.hpp"
 #include "sequence/fasta.hpp"
-#include "sequence/fastq.hpp"
 #include "sequence/generate.hpp"
 #include "sequence/sequence.hpp"
 #include "simexec/model.hpp"

@@ -156,6 +156,8 @@ struct Router::PendingOp {
   std::uint64_t cells = 0;
   unsigned attempts = 0;  ///< sends so far
   bool hedged = false;
+  /// A hedge came due but found no second backend (counted once).
+  bool hedge_skipped = false;
   bool batched = false;    ///< currently riding inside a batch envelope
   bool hedgeable = false;  ///< single ALIGN / SEARCH
   /// SEQ_* / ALIGN_REF: the op is welded to its one eligible backend —
@@ -193,6 +195,7 @@ Router::Router(RouterConfig config)
           obs::metrics().counter("router.hedge.issued"),
           obs::metrics().counter("router.hedge.won"),
           obs::metrics().counter("router.hedge.wasted"),
+          obs::metrics().counter("router.hedge.skipped_no_peer"),
           obs::metrics().counter("router.coalesce.batches"),
           obs::metrics().counter("router.coalesce.jobs"),
           obs::metrics().counter("router.backend.ejected"),
@@ -1603,6 +1606,15 @@ void Router::monitor_loop() {
         }
         const int target = pick_backend(op->eligible, op->last_backend);
         if (target < 0) continue;
+        // pick_backend's last resort hands back the excluded backend; a
+        // hedge there only re-queues the request behind the slow copy.
+        if (target == op->last_backend) {
+          if (!op->hedge_skipped) {
+            op->hedge_skipped = true;
+            instruments_.hedges_skipped_no_peer.add();
+          }
+          continue;
+        }
         op->hedged = true;
         hedge_count_.fetch_add(1, std::memory_order_relaxed);
         hedges.emplace_back(id, target);

@@ -18,7 +18,8 @@
 //                        least-loaded routing
 //   hedge monitor        re-issues slow singles to a second replica after
 //                        a p95-tracked threshold, bounded by a hedge
-//                        budget; also expires ops whose deadline is gone
+//                        budget; never back to the backend already holding
+//                        the op; also expires ops whose deadline is gone
 //
 // Routing
 // -------
@@ -257,6 +258,7 @@ class Router {
     obs::Counter& hedges_issued;
     obs::Counter& hedges_won;
     obs::Counter& hedges_wasted;
+    obs::Counter& hedges_skipped_no_peer;
     obs::Counter& coalesced_batches;
     obs::Counter& coalesced_jobs;
     obs::Counter& backend_ejected;

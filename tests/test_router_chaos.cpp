@@ -221,7 +221,20 @@ TEST(RouterChaos, MidFlightBackendDeathFailsOverWithoutALostRequest) {
   RouterConfig config;
   config.health_interval_ms = 60000;
   config.hedge_enabled = false;  // isolate the failover path
+  // Wait out the prober's one sweep before sending anything. A sweep that
+  // overlaps the warm-up reads its in-flight job (the backends share this
+  // process's registry) as load on backend 0, and one that lands after
+  // the kill ejects it; either way no request is routed at the corpse.
+  obs::Gauge& healthy = obs::metrics().gauge("router.backends_healthy");
+  healthy.set(0);
   ChaosFleet fleet({"off", "off"}, config);
+  const auto sweep_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (healthy.value() != 2.0 &&
+         std::chrono::steady_clock::now() < sweep_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(healthy.value(), 2.0) << "the prober never finished a sweep";
 
   Client client;
   client.connect("127.0.0.1", fleet.router->port());
@@ -301,6 +314,47 @@ TEST(RouterChaos, HedgeTakesOverWhenABackendStalls) {
       << "a client waited out the stalled backend";
   // Teardown note: the staller still holds delayed reads; its stop()
   // drains them (about a second) — the fleet destructor absorbs that.
+}
+
+TEST(RouterChaos, HedgeNeverResendsToTheSameBackend) {
+  // A lone backend stalls every read for 200ms. Hedging is armed from the
+  // first request at a 30ms floor, so every op comes due for a hedge —
+  // but there is no second backend, and re-sending to the one already
+  // holding the op only queues a duplicate behind the stall. The monitor
+  // must skip the hedge and count the skip instead.
+  RouterConfig config;
+  config.hedge_min_samples = 0;
+  config.hedge_min_ms = 30;
+  config.hedge_tick_ms = 5;
+  config.hedge_budget_percent = 100;
+  config.coalesce_max_jobs = 1;
+  config.health_interval_ms = 60000;  // the prober must not eject the staller
+  ChaosFleet fleet({"seed=3,delay=1:200"}, config);
+
+  const std::uint64_t issued_before = counter("router.hedge.issued");
+  const std::uint64_t skipped_before =
+      counter("router.hedge.skipped_no_peer");
+
+  Client client;
+  client.connect("127.0.0.1", fleet.router->port());
+  constexpr int kRequests = 4;
+  for (int i = 0; i < kRequests; ++i) {
+    AlignRequest request;
+    request.matrix = WireMatrix::kMdm78;
+    request.gap_extend = -10;
+    request.a = "TLDKLLKD";
+    request.b = "TDVLKAD";
+    (void)client.send(std::move(request));
+  }
+  for (int i = 0; i < kRequests; ++i) {
+    const Response response = client.receive();
+    const auto* ok = std::get_if<AlignResponse>(&response);
+    ASSERT_NE(ok, nullptr) << "response " << i << " was not ALIGN_OK";
+    EXPECT_EQ(ok->score, 82);
+  }
+  EXPECT_EQ(counter("router.hedge.issued"), issued_before)
+      << "a hedge went back to the only backend";
+  EXPECT_GT(counter("router.hedge.skipped_no_peer"), skipped_before);
 }
 
 }  // namespace
