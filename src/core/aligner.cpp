@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/arena.hpp"
+#include "dp/direction.hpp"
 #include "dp/fullmatrix.hpp"
 #include "dp/gotoh.hpp"
 #include "hirschberg/hirschberg_affine.hpp"
@@ -40,15 +41,19 @@ FastLsaOptions fit_fastlsa_options(std::size_t m, std::size_t n, bool affine,
   const std::size_t cell = affine ? sizeof(AffineCell) : sizeof(Score);
   // Grid lines across the recursion: each level stores (k-1) rows of
   // (cols+1) cells and (k-1) columns of (rows+1); levels shrink by k, so
-  // the total is bounded by (k-1)(m+n+2) * k/(k-1) = k*(m+n+2). Scratch and
-  // boundaries add ~3*(m+n+2).
+  // the total is bounded by (k-1)(m+n+2) * k/(k-1) = k*(m+n+2). Scratch,
+  // boundaries and the base case's tile lines add ~4*(m+n+2).
   const std::size_t overhead_cells =
-      (static_cast<std::size_t>(options.k) + 3) * (m + n + 2);
-  const std::size_t overhead_bytes = overhead_cells * cell;
+      (static_cast<std::size_t>(options.k) + 4) * (m + n + 2);
+  // The Base Case holds one direction byte per cell plus the score
+  // diagonals of its sweep (dp/direction.hpp), whose length is bounded by
+  // the longer sequence.
+  const std::size_t overhead_bytes =
+      overhead_cells * cell + direction_sweep_bytes(0, std::max(m, n), affine);
   std::size_t budget_cells = 16;
   if (memory_limit_bytes > overhead_bytes) {
     budget_cells =
-        std::max<std::size_t>(16, (memory_limit_bytes - overhead_bytes) / cell);
+        std::max<std::size_t>(16, memory_limit_bytes - overhead_bytes);
   }
   // Round down to a power of two for stable, reportable configurations.
   std::size_t buffer = 16;

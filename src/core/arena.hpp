@@ -16,8 +16,9 @@
 //   * EngineArena<CellT> — everything FastLsaEngine needs across one
 //     align() call: the pool, per-recursion-depth LevelScratch (cut
 //     vectors and line handles, reused each time the recursion re-enters
-//     that depth), the Base Case buffer, per-worker sweep scratch, global
-//     boundary rows, and the traceback path's storage.
+//     that depth), the Base Case buffers (direction bytes, tile lines and
+//     tile table), per-worker sweep scratch, global boundary rows, and the
+//     traceback path's storage.
 //
 // A FastLsaWorkspace bundles the linear and affine arenas and can be
 // passed to align calls via FastLsaOptions::workspace. Reusing one
@@ -35,7 +36,6 @@
 
 #include "dp/counters.hpp"
 #include "dp/gotoh.hpp"
-#include "dp/matrix.hpp"
 #include "dp/path.hpp"
 #include "scoring/matrix.hpp"
 #include "support/assert.hpp"
@@ -165,6 +165,15 @@ struct LevelScratch {
   }
 };
 
+/// One tile of a Base Case: its residue ranges within the sub-problem and
+/// where its direction bytes and output score lines live in the arena.
+struct BaseTile {
+  std::size_t row0, rows, col0, cols;
+  std::size_t dirs;    ///< offset of its direction bytes in base_dirs
+  std::size_t bottom;  ///< offset of its bottom line (cols + 1 cells)
+  std::size_t right;   ///< offset of its right line (rows + 1 cells)
+};
+
 /// Everything one FastLsaEngine<CellT> run needs from the heap.
 template <typename CellT>
 struct EngineArena {
@@ -172,7 +181,11 @@ struct EngineArena {
   // Deque, not vector: level d's scratch stays referenced while deeper
   // levels are appended, and deque growth never moves existing elements.
   std::deque<LevelScratch<CellT>> level_storage;
-  Matrix2D<CellT> base_buffer;
+  // Base Case: every tile's direction bytes, the tiles' bottom and right
+  // score lines, the tile table and the cuts it is built from.
+  std::vector<std::uint8_t> base_dirs;
+  std::vector<CellT> base_lines;
+  std::vector<BaseTile> base_tiles;
   std::vector<std::size_t> base_row_cuts, base_col_cuts;
   std::vector<std::vector<CellT>> scratch_bottom, scratch_right;
   std::vector<DpCounters> worker_counters;

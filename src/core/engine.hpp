@@ -5,6 +5,8 @@
 //
 //   FastLSA(problem, cacheRow, cacheColumn, path):
 //     if problem fits in the Base Case buffer: solveFullMatrix(...)
+//                                              -> direction-byte sweep and
+//                                                 a traceback over the bytes
 //     grid  = allocateGrid(problem)            -> GridLines
 //     fillGridCache(problem, grid)             -> tiled wavefront sweep,
 //                                                 skipping the bottom-right
@@ -38,10 +40,10 @@
 #include "core/budget.hpp"
 #include "core/fastlsa.hpp"
 #include "core/tile_executor.hpp"
+#include "dp/direction.hpp"
 #include "dp/fullmatrix.hpp"
 #include "dp/gotoh.hpp"
 #include "dp/kernel.hpp"
-#include "dp/matrix.hpp"
 #include "dp/path.hpp"
 #include "obs/obs.hpp"
 #include "support/assert.hpp"
@@ -175,10 +177,15 @@ class FastLsaEngine {
     const std::uint64_t pool_hits0 = arena_.cell_pool.hits();
     const std::uint64_t pool_misses0 = arena_.cell_pool.misses();
 
-    // Reserve the Base Case buffer (the paper reserves BM units up front).
-    arena_.base_buffer.reserve(options_.base_case_cells);
-    MemoryCharge base_charge(&tracker_,
-                             options_.base_case_cells * sizeof(CellT));
+    // Reserve the Base Case buffer (the paper reserves BM units up front):
+    // one direction byte per cell plus the sweep's score diagonals.
+    arena_.base_dirs.reserve(options_.base_case_cells + kDirectionPad);
+    MemoryCharge base_charge(
+        &tracker_,
+        direction_sweep_bytes(options_.base_case_cells,
+                              std::min(std::max(m, n),
+                                       options_.base_case_cells),
+                              Affine));
 
     // Per-worker scratch rows/columns used by fill tiles.
     const std::size_t scratch_len = std::max(m, n) + 1;
@@ -336,19 +343,16 @@ class FastLsaEngine {
     FLSA_OBS_PHASE(obs_phase, obs::Phase::kBaseCase);
     FLSA_OBS_PHASE_CELLS(obs_phase,
                          static_cast<std::uint64_t>(rows) * cols);
-    Matrix2D<CellT>& base_buffer = arena_.base_buffer;
-    base_buffer.resize(rows + 1, cols + 1);
-    std::copy(top.begin(), top.end(), base_buffer.row(0));
-    for (std::size_t r = 0; r <= rows; ++r) base_buffer(r, 0) = left[r];
-
     const std::span<const Residue> a_sub =
         a_.residues().subspan(rect.row0, rows);
     const std::span<const Residue> b_sub =
         b_.residues().subspan(rect.col0, cols);
 
-    // Tiled interior fill (one tile sequentially; a wavefront in parallel).
-    // Base cases are recursion leaves, so one pair of cut vectors in the
-    // arena serves every invocation.
+    // Tile grid: one tile sequentially, a wavefront in parallel. Each tile
+    // records one direction byte per cell into its own slice of the arena
+    // and publishes its bottom and right score lines, the inputs of the
+    // tiles below and to its right. Base cases are recursion leaves, so
+    // one set of arena buffers serves every invocation.
     std::vector<std::size_t>& row_cuts = arena_.base_row_cuts;
     std::vector<std::size_t>& col_cuts = arena_.base_col_cuts;
     split_cuts_into(
@@ -357,38 +361,103 @@ class FastLsaEngine {
     split_cuts_into(
         col_cuts, cols,
         clamp_tiles(plan_.base_case_tiles, cols, plan_.min_tile_extent));
-    auto seg = [](const std::vector<std::size_t>& cuts, std::size_t extent,
-                  std::size_t t) {
-      const std::size_t s = t == 0 ? 0 : cuts[t - 1];
-      const std::size_t e = t == cuts.size() ? extent : cuts[t];
-      return std::pair<std::size_t, std::size_t>{s, e};
-    };
+    const std::size_t tr = row_cuts.size() + 1;
+    const std::size_t tc = col_cuts.size() + 1;
+    std::vector<BaseTile>& tiles = arena_.base_tiles;
+    tiles.resize(tr * tc);
+    std::size_t dir_bytes = 0;
+    std::size_t line_cells = 0;
+    for (std::size_t ti = 0; ti < tr; ++ti) {
+      const std::size_t rs = ti == 0 ? 0 : row_cuts[ti - 1];
+      const std::size_t re = ti + 1 == tr ? rows : row_cuts[ti];
+      for (std::size_t tj = 0; tj < tc; ++tj) {
+        const std::size_t cs = tj == 0 ? 0 : col_cuts[tj - 1];
+        const std::size_t ce = tj + 1 == tc ? cols : col_cuts[tj];
+        tiles[ti * tc + tj] = BaseTile{rs,        re - rs,
+                                       cs,        ce - cs,
+                                       dir_bytes, line_cells,
+                                       line_cells + (ce - cs) + 1};
+        dir_bytes += direction_bytes(re - rs, ce - cs);
+        line_cells += (re - rs) + (ce - cs) + 2;
+      }
+    }
+    // Grow only: shrinking and regrowing would zero-fill the tail anew on
+    // every invocation.
+    if (arena_.base_dirs.size() < dir_bytes) {
+      arena_.base_dirs.resize(dir_bytes);
+    }
+    if (arena_.base_lines.size() < line_cells) {
+      arena_.base_lines.resize(line_cells);
+    }
+    // run() reserved one tile's bytes; the tile lines and every further
+    // tile's padding are held only while this base case runs.
+    MemoryCharge tile_charge(&tracker_, line_cells * sizeof(CellT) +
+                                            (tiles.size() - 1) *
+                                                kDirectionPad);
+
     plan_.executor->run(
-        row_cuts.size() + 1, col_cuts.size() + 1, nullptr,
-        [&](std::size_t ti, std::size_t tj, unsigned /*worker*/) {
-          const auto [rs, re] = seg(row_cuts, rows, ti);
-          const auto [cs, ce] = seg(col_cuts, cols, tj);
+        tr, tc, nullptr,
+        [&](std::size_t ti, std::size_t tj, unsigned worker) {
+          const BaseTile& tile = tiles[ti * tc + tj];
+          CellT* lines = arena_.base_lines.data();
+          const std::span<const CellT> tile_top =
+              ti == 0 ? top.subspan(tile.col0, tile.cols + 1)
+                      : std::span<const CellT>(
+                            lines + tiles[(ti - 1) * tc + tj].bottom,
+                            tile.cols + 1);
+          const std::span<const CellT> tile_left =
+              tj == 0 ? left.subspan(tile.row0, tile.rows + 1)
+                      : std::span<const CellT>(
+                            lines + tiles[ti * tc + tj - 1].right,
+                            tile.rows + 1);
+          const std::span<CellT> bottom(lines + tile.bottom, tile.cols + 1);
+          const std::span<CellT> right(lines + tile.right, tile.rows + 1);
+          const std::span<const Residue> a_tile =
+              a_sub.subspan(tile.row0, tile.rows);
+          const std::span<const Residue> b_tile =
+              b_sub.subspan(tile.col0, tile.cols);
           if constexpr (Affine) {
-            fill_matrix_region_affine(a_sub, b_sub, scheme_, base_buffer,
-                                      rs + 1, cs + 1, re - rs, ce - cs);
+            sweep_directions_affine(kernel_, a_tile, b_tile, scheme_,
+                                    tile_top, tile_left, bottom, right,
+                                    directions(tile),
+                                    &arena_.worker_counters[worker]);
           } else {
-            fill_matrix_region_linear(a_sub, b_sub, scheme_, base_buffer,
-                                      rs + 1, cs + 1, re - rs, ce - cs);
+            sweep_directions_linear(kernel_, a_tile, b_tile, scheme_,
+                                    tile_top, tile_left, bottom, right,
+                                    directions(tile),
+                                    &arena_.worker_counters[worker]);
           }
-          return static_cast<std::uint64_t>(re - rs) * (ce - cs);
+          return static_cast<std::uint64_t>(tile.rows) * tile.cols;
         },
         TilePhase::kBaseCase);
-    arena_.worker_counters[0].cells_stored +=
-        static_cast<std::uint64_t>(rows) * cols;
 
-    if constexpr (Affine) {
-      affine_state_ = traceback_rectangle_affine(
-          a_sub, b_sub, scheme_, base_buffer, rows, cols, affine_state_,
-          path_, &arena_.worker_counters[0]);
-    } else {
-      traceback_rectangle_linear(a_sub, b_sub, scheme_, base_buffer, rows,
-                                 cols, path_, &arena_.worker_counters[0]);
+    // Traceback over the bytes, tile by tile from the bottom-right corner
+    // until the path reaches the sub-problem's top row or left column.
+    std::size_t ti = tr - 1;
+    std::size_t tj = tc - 1;
+    std::size_t r = rows;
+    std::size_t c = cols;
+    while (r > 0 && c > 0) {
+      while (r <= tiles[ti * tc + tj].row0) --ti;
+      while (c <= tiles[ti * tc + tj].col0) --tj;
+      const BaseTile& tile = tiles[ti * tc + tj];
+      if constexpr (Affine) {
+        affine_state_ = traceback_directions_affine(
+            directions(tile), r - tile.row0, c - tile.col0, affine_state_,
+            path_, &arena_.worker_counters[0]);
+      } else {
+        traceback_directions_linear(directions(tile), r - tile.row0,
+                                    c - tile.col0, path_,
+                                    &arena_.worker_counters[0]);
+      }
+      r = path_.front().row - rect.row0;
+      c = path_.front().col - rect.col0;
     }
+  }
+
+  DirectionView directions(const BaseTile& tile) {
+    return DirectionView{arena_.base_dirs.data() + tile.dirs, tile.rows,
+                         tile.cols};
   }
 
   void general_case(const Rect& rect, std::span<const CellT> top,

@@ -34,9 +34,9 @@ struct FastLsaOptions {
   /// (k >= 2). Larger k stores more grid lines and recomputes less.
   unsigned k = 8;
 
-  /// Base Case buffer size in DPM *cells* (a cell is one Score for linear
-  /// schemes, one (D, Ix, Iy) triple for affine ones). A sub-problem with
-  /// (rows+1)*(cols+1) <= base_case_cells is solved with a full matrix.
+  /// Base Case buffer size in DPM *cells*. A sub-problem with
+  /// (rows+1)*(cols+1) <= base_case_cells is solved with a full-matrix
+  /// sweep that keeps one direction byte per cell (dp/direction.hpp).
   /// Minimum 16.
   std::size_t base_case_cells = 1u << 20;
 

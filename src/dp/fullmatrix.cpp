@@ -39,27 +39,6 @@ void fill_full_matrix_linear(std::span<const Residue> a,
   }
 }
 
-void fill_matrix_region_linear(std::span<const Residue> a,
-                               std::span<const Residue> b,
-                               const ScoringScheme& scheme,
-                               Matrix2D<Score>& dpm, std::size_t row0,
-                               std::size_t col0, std::size_t rows,
-                               std::size_t cols) {
-  FLSA_REQUIRE(row0 >= 1 && col0 >= 1);
-  FLSA_REQUIRE(row0 + rows <= dpm.rows() && col0 + cols <= dpm.cols());
-  const Score gap = scheme.gap_extend();
-  const SubstitutionMatrix& sub = scheme.matrix();
-  for (std::size_t r = row0; r < row0 + rows; ++r) {
-    const Score* prev = dpm.row(r - 1);
-    Score* curr = dpm.row(r);
-    const Residue ar = a[r - 1];
-    for (std::size_t c = col0; c < col0 + cols; ++c) {
-      const Score match = prev[c - 1] + sub.at(ar, b[c - 1]);
-      curr[c] = std::max(match, std::max(prev[c], curr[c - 1]) + gap);
-    }
-  }
-}
-
 void traceback_rectangle_linear(std::span<const Residue> a,
                                 std::span<const Residue> b,
                                 const ScoringScheme& scheme,

@@ -1,6 +1,8 @@
 // Full-matrix (FM) dynamic-programming alignment: the Needleman-Wunsch
 // baseline that stores the complete DPM, plus the boundary-aware rectangle
-// solver reused by FastLSA's Base Case.
+// fill and traceback that Hirschberg's and the semiglobal base cases use
+// and that the direction-byte Base Case of FastLSA (dp/direction.hpp) is
+// tested against.
 #pragma once
 
 #include <span>
@@ -42,19 +44,6 @@ void traceback_rectangle_linear(std::span<const Residue> a,
                                 const Matrix2D<Score>& dpm,
                                 std::size_t start_row, std::size_t start_col,
                                 Path& path, DpCounters* counters = nullptr);
-
-/// Fills one rectangular region of an already-boundary-initialized DPM:
-/// entries (r, c) for r in [row0, row0+rows) x c in [col0, col0+cols),
-/// reading the up/left/diagonal neighbours from `dpm` (which must already
-/// hold them — row 0 / column 0 from boundary caches, interior regions from
-/// previously filled tiles). row0, col0 >= 1. This is the unit of work of
-/// the tiled (wavefront-parallel) base case.
-void fill_matrix_region_linear(std::span<const Residue> a,
-                               std::span<const Residue> b,
-                               const ScoringScheme& scheme,
-                               Matrix2D<Score>& dpm, std::size_t row0,
-                               std::size_t col0, std::size_t rows,
-                               std::size_t cols);
 
 /// Complete Needleman-Wunsch global alignment storing the whole DPM.
 /// This is the paper's FM baseline. Works for linear schemes only; the

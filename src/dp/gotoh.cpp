@@ -135,32 +135,6 @@ void fill_full_matrix_affine(std::span<const Residue> a,
   }
 }
 
-void fill_matrix_region_affine(std::span<const Residue> a,
-                               std::span<const Residue> b,
-                               const ScoringScheme& scheme,
-                               Matrix2D<AffineCell>& dpm, std::size_t row0,
-                               std::size_t col0, std::size_t rows,
-                               std::size_t cols) {
-  FLSA_REQUIRE(row0 >= 1 && col0 >= 1);
-  FLSA_REQUIRE(row0 + rows <= dpm.rows() && col0 + cols <= dpm.cols());
-  const Score open = scheme.gap_open();
-  const Score ext = scheme.gap_extend();
-  const SubstitutionMatrix& sub = scheme.matrix();
-  for (std::size_t r = row0; r < row0 + rows; ++r) {
-    const AffineCell* prev = dpm.row(r - 1);
-    AffineCell* curr = dpm.row(r);
-    const Residue ar = a[r - 1];
-    for (std::size_t c = col0; c < col0 + cols; ++c) {
-      AffineCell cell;
-      cell.ix = std::max(prev[c].d + open, prev[c].ix) + ext;
-      cell.iy = std::max(curr[c - 1].d + open, curr[c - 1].iy) + ext;
-      cell.d = std::max(prev[c - 1].d + sub.at(ar, b[c - 1]),
-                        std::max(cell.ix, cell.iy));
-      curr[c] = cell;
-    }
-  }
-}
-
 AffineState traceback_rectangle_affine(std::span<const Residue> a,
                                        std::span<const Residue> b,
                                        const ScoringScheme& scheme,
@@ -246,11 +220,17 @@ Alignment full_matrix_align_affine(const Sequence& a, const Sequence& b,
 Score global_score_affine(std::span<const Residue> a,
                           std::span<const Residue> b,
                           const ScoringScheme& scheme, DpCounters* counters) {
+  return global_score_affine(KernelKind::kScalar, a, b, scheme, counters);
+}
+
+Score global_score_affine(KernelKind kind, std::span<const Residue> a,
+                          std::span<const Residue> b,
+                          const ScoringScheme& scheme, DpCounters* counters) {
   std::vector<AffineCell> row(b.size() + 1);
   std::vector<AffineCell> left(a.size() + 1);
   init_global_boundary_affine(scheme, row, /*horizontal=*/true);
   init_global_boundary_affine(scheme, left, /*horizontal=*/false);
-  sweep_rectangle_affine(a, b, scheme, row, left, row, {}, counters);
+  sweep_rectangle_affine(kind, a, b, scheme, row, left, row, {}, counters);
   return row.back().d;
 }
 

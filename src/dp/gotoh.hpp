@@ -71,15 +71,6 @@ void fill_full_matrix_affine(std::span<const Residue> a,
                              Matrix2D<AffineCell>& dpm,
                              DpCounters* counters = nullptr);
 
-/// Affine analogue of fill_matrix_region_linear: fills one region of an
-/// already-boundary-initialized affine DPM (tiled base-case unit of work).
-void fill_matrix_region_affine(std::span<const Residue> a,
-                               std::span<const Residue> b,
-                               const ScoringScheme& scheme,
-                               Matrix2D<AffineCell>& dpm, std::size_t row0,
-                               std::size_t col0, std::size_t rows,
-                               std::size_t cols);
-
 /// Affine traceback through a filled rectangle starting at
 /// (start_row, start_col) in lane `state`; stops at the top row or left
 /// column and returns the lane the path was in when it stopped (so FastLSA
@@ -102,6 +93,12 @@ Alignment full_matrix_align_affine(const Sequence& a, const Sequence& b,
 
 /// Optimal affine global score in linear space.
 Score global_score_affine(std::span<const Residue> a,
+                          std::span<const Residue> b,
+                          const ScoringScheme& scheme,
+                          DpCounters* counters = nullptr);
+
+/// Dispatching overload of global_score_affine.
+Score global_score_affine(KernelKind kind, std::span<const Residue> a,
                           std::span<const Residue> b,
                           const ScoringScheme& scheme,
                           DpCounters* counters = nullptr);

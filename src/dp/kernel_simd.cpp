@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "dp/direction.hpp"
 #include "dp/kernel.hpp"
 #include "support/assert.hpp"
 
@@ -20,6 +22,8 @@ namespace {
 /// Widest lane count of any instantiation; index arrays and diagonal
 /// buffers are padded by this much so vector loops may overshoot.
 constexpr std::size_t kMaxLanes = 8;
+static_assert(kDirectionPad >= kMaxLanes,
+              "direction buffers must absorb one lane group of overshoot");
 
 /// The seven diagonal buffers of the affine core (D needs two previous
 /// diagonals, Ix/Iy one each, plus the three being written).
@@ -52,6 +56,18 @@ Isa active_isa() {
 #if FLSA_SIMD_X86
 
 // ---- AVX2: 8 int32 lanes, hardware gather. -------------------------------
+/// Low byte of each int32 lane, as 8 consecutive bytes at p.
+__attribute__((target("avx2"))) inline void avx2_store_dirs(std::uint8_t* p,
+                                                           __m256i v) {
+  const __m256i low_bytes = _mm256_setr_epi8(
+      0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+      0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
+  const __m256i packed = _mm256_permutevar8x32_epi32(
+      _mm256_shuffle_epi8(v, low_bytes), _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0));
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(p),
+                   _mm256_castsi256_si128(packed));
+}
+
 #define FLSA_SIMD_NS avx2
 #define FLSA_SIMD_FN __attribute__((target("avx2")))
 #define FLSA_SIMD_WIDTH 8
@@ -61,9 +77,15 @@ Isa active_isa() {
 #define FLSA_STORE(p, v) \
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), (v))
 #define FLSA_ADD(a, b) _mm256_add_epi32((a), (b))
+#define FLSA_SUB(a, b) _mm256_sub_epi32((a), (b))
 #define FLSA_MAX(a, b) _mm256_max_epi32((a), (b))
+#define FLSA_CMPEQ(a, b) _mm256_cmpeq_epi32((a), (b))
+#define FLSA_CMPGT(a, b) _mm256_cmpgt_epi32((a), (b))
+#define FLSA_ANDNOT(m, v) _mm256_andnot_si256((m), (v))
+#define FLSA_OR(a, b) _mm256_or_si256((a), (b))
 #define FLSA_SET1(x) _mm256_set1_epi32((x))
 #define FLSA_GATHER(t, i) _mm256_i32gather_epi32((t), (i), 4)
+#define FLSA_STORE_DIRS(p, v) avx2_store_dirs((p), (v))
 #include "dp/kernel_simd_lanes.inc"
 #undef FLSA_SIMD_NS
 #undef FLSA_SIMD_FN
@@ -72,9 +94,15 @@ Isa active_isa() {
 #undef FLSA_LOAD
 #undef FLSA_STORE
 #undef FLSA_ADD
+#undef FLSA_SUB
 #undef FLSA_MAX
+#undef FLSA_CMPEQ
+#undef FLSA_CMPGT
+#undef FLSA_ANDNOT
+#undef FLSA_OR
 #undef FLSA_SET1
 #undef FLSA_GATHER
+#undef FLSA_STORE_DIRS
 
 // ---- SSE4.1: 4 int32 lanes, gather emulated with scalar loads. -----------
 __attribute__((target("sse4.1"))) inline __m128i sse41_gather(
@@ -85,6 +113,16 @@ __attribute__((target("sse4.1"))) inline __m128i sse41_gather(
                         table[lane[3]]);
 }
 
+/// Low byte of each int32 lane, as 4 consecutive bytes at p.
+__attribute__((target("sse4.1"))) inline void sse41_store_dirs(
+    std::uint8_t* p, __m128i v) {
+  const __m128i low_bytes =
+      _mm_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+                    -1);
+  const std::int32_t packed = _mm_cvtsi128_si32(_mm_shuffle_epi8(v, low_bytes));
+  std::memcpy(p, &packed, sizeof(packed));
+}
+
 #define FLSA_SIMD_NS sse41
 #define FLSA_SIMD_FN __attribute__((target("sse4.1")))
 #define FLSA_SIMD_WIDTH 4
@@ -93,9 +131,15 @@ __attribute__((target("sse4.1"))) inline __m128i sse41_gather(
 #define FLSA_STORE(p, v) \
   _mm_storeu_si128(reinterpret_cast<__m128i*>(p), (v))
 #define FLSA_ADD(a, b) _mm_add_epi32((a), (b))
+#define FLSA_SUB(a, b) _mm_sub_epi32((a), (b))
 #define FLSA_MAX(a, b) _mm_max_epi32((a), (b))
+#define FLSA_CMPEQ(a, b) _mm_cmpeq_epi32((a), (b))
+#define FLSA_CMPGT(a, b) _mm_cmpgt_epi32((a), (b))
+#define FLSA_ANDNOT(m, v) _mm_andnot_si128((m), (v))
+#define FLSA_OR(a, b) _mm_or_si128((a), (b))
 #define FLSA_SET1(x) _mm_set1_epi32((x))
 #define FLSA_GATHER(t, i) sse41_gather((t), (i))
+#define FLSA_STORE_DIRS(p, v) sse41_store_dirs((p), (v))
 #include "dp/kernel_simd_lanes.inc"
 #undef FLSA_SIMD_NS
 #undef FLSA_SIMD_FN
@@ -104,9 +148,15 @@ __attribute__((target("sse4.1"))) inline __m128i sse41_gather(
 #undef FLSA_LOAD
 #undef FLSA_STORE
 #undef FLSA_ADD
+#undef FLSA_SUB
 #undef FLSA_MAX
+#undef FLSA_CMPEQ
+#undef FLSA_CMPGT
+#undef FLSA_ANDNOT
+#undef FLSA_OR
 #undef FLSA_SET1
 #undef FLSA_GATHER
+#undef FLSA_STORE_DIRS
 
 /// Per-thread scratch: gather-index arrays plus the diagonal buffers,
 /// reused across calls so the wavefront executors do not allocate per
@@ -138,30 +188,38 @@ void prepare_indices(std::span<const Residue> a, std::size_t cols,
   }
 }
 
+/// Runs the linear core for this CPU; with kRecord it also fills `dirs`.
+template <bool kRecord>
 void run_linear(std::size_t rows, std::size_t cols, Score gap,
                 const Score* table, std::span<const Score> top,
                 std::span<const Score> left, std::span<Score> out_bottom,
-                std::span<Score> out_right, Scratch& s) {
+                std::span<Score> out_right, Scratch& s,
+                const DirectionView* dirs = nullptr) {
   for (int i = 0; i < 3; ++i) {
     s.lane[i].assign(rows + 1 + kMaxLanes, kNegInf);
   }
   Score* right = out_right.empty() ? nullptr : out_right.data();
+  std::uint8_t* bytes = kRecord ? dirs->bytes : nullptr;
   if (active_isa() == Isa::kAvx2) {
-    avx2::linear_core(rows, cols, gap, table, s.aoff.data(), s.brev.data(),
-                      top.data(), left.data(), out_bottom.data(), right,
-                      s.lane[0].data(), s.lane[1].data(), s.lane[2].data());
+    avx2::linear_core<kRecord>(rows, cols, gap, table, s.aoff.data(),
+                               s.brev.data(), top.data(), left.data(),
+                               out_bottom.data(), right, s.lane[0].data(),
+                               s.lane[1].data(), s.lane[2].data(), bytes);
   } else {
-    sse41::linear_core(rows, cols, gap, table, s.aoff.data(), s.brev.data(),
-                       top.data(), left.data(), out_bottom.data(), right,
-                       s.lane[0].data(), s.lane[1].data(), s.lane[2].data());
+    sse41::linear_core<kRecord>(rows, cols, gap, table, s.aoff.data(),
+                                s.brev.data(), top.data(), left.data(),
+                                out_bottom.data(), right, s.lane[0].data(),
+                                s.lane[1].data(), s.lane[2].data(), bytes);
   }
 }
 
+template <bool kRecord>
 void run_affine(std::size_t rows, std::size_t cols, Score open, Score ext,
                 const Score* table, std::span<const AffineCell> top,
                 std::span<const AffineCell> left,
                 std::span<AffineCell> out_bottom,
-                std::span<AffineCell> out_right, Scratch& s) {
+                std::span<AffineCell> out_right, Scratch& s,
+                const DirectionView* dirs = nullptr) {
   for (int i = 0; i < 7; ++i) {
     s.lane[i].assign(rows + 1 + kMaxLanes, kNegInf);
   }
@@ -169,15 +227,92 @@ void run_affine(std::size_t rows, std::size_t cols, Score open, Score ext,
                         s.lane[3].data(), s.lane[4].data(),
                         s.lane[5].data(), s.lane[6].data()};
   AffineCell* right = out_right.empty() ? nullptr : out_right.data();
+  std::uint8_t* bytes = kRecord ? dirs->bytes : nullptr;
   if (active_isa() == Isa::kAvx2) {
-    avx2::affine_core(rows, cols, open, ext, table, s.aoff.data(),
-                      s.brev.data(), top.data(), left.data(),
-                      out_bottom.data(), right, bufs);
+    avx2::affine_core<kRecord>(rows, cols, open, ext, table, s.aoff.data(),
+                               s.brev.data(), top.data(), left.data(),
+                               out_bottom.data(), right, bufs, bytes);
   } else {
-    sse41::affine_core(rows, cols, open, ext, table, s.aoff.data(),
-                       s.brev.data(), top.data(), left.data(),
-                       out_bottom.data(), right, bufs);
+    sse41::affine_core<kRecord>(rows, cols, open, ext, table, s.aoff.data(),
+                                s.brev.data(), top.data(), left.data(),
+                                out_bottom.data(), right, bufs, bytes);
   }
+}
+
+/// The int32 vector path of the score sweeps (dirs == nullptr) and the
+/// direction sweeps. False when the CPU has no vector ISA or the
+/// rectangle is degenerate: the caller then runs its scalar reference.
+bool vector_sweep(std::span<const Residue> a, std::span<const Residue> b,
+                  const ScoringScheme& scheme, std::span<const Score> top,
+                  std::span<const Score> left, std::span<Score> out_bottom,
+                  std::span<Score> out_right, const DirectionView* dirs,
+                  DpCounters* counters) {
+  const std::size_t rows = a.size();
+  const std::size_t cols = b.size();
+  if (!simd_kernel_available() || rows == 0 || cols == 0) return false;
+  FLSA_REQUIRE(scheme.is_linear());
+  FLSA_REQUIRE(top.size() == cols + 1);
+  FLSA_REQUIRE(left.size() == rows + 1);
+  FLSA_REQUIRE(top[0] == left[0]);
+  FLSA_REQUIRE(out_bottom.size() == cols + 1);
+  FLSA_REQUIRE(out_right.empty() || out_right.size() == rows + 1);
+  FLSA_REQUIRE(dirs == nullptr || (dirs->rows == rows && dirs->cols == cols));
+
+  const SubstitutionMatrix& sub = scheme.matrix();
+  const auto stride = static_cast<std::int32_t>(sub.alphabet().size());
+  Scratch& s = scratch();
+  prepare_indices(a, cols, stride,
+                  [&](std::size_t j) { return static_cast<std::int32_t>(b[j]); },
+                  s);
+  if (dirs != nullptr) {
+    run_linear<true>(rows, cols, scheme.gap_extend(), sub.data(), top, left,
+                     out_bottom, out_right, s, dirs);
+  } else {
+    run_linear<false>(rows, cols, scheme.gap_extend(), sub.data(), top, left,
+                      out_bottom, out_right, s);
+  }
+  if (counters) {
+    (dirs != nullptr ? counters->cells_stored : counters->cells_scored) +=
+        static_cast<std::uint64_t>(rows) * cols;
+  }
+  return true;
+}
+
+bool vector_sweep(std::span<const Residue> a, std::span<const Residue> b,
+                  const ScoringScheme& scheme,
+                  std::span<const AffineCell> top,
+                  std::span<const AffineCell> left,
+                  std::span<AffineCell> out_bottom,
+                  std::span<AffineCell> out_right, const DirectionView* dirs,
+                  DpCounters* counters) {
+  const std::size_t rows = a.size();
+  const std::size_t cols = b.size();
+  if (!simd_kernel_available() || rows == 0 || cols == 0) return false;
+  FLSA_REQUIRE(top.size() == cols + 1);
+  FLSA_REQUIRE(left.size() == rows + 1);
+  FLSA_REQUIRE(top[0] == left[0]);
+  FLSA_REQUIRE(out_bottom.size() == cols + 1);
+  FLSA_REQUIRE(out_right.empty() || out_right.size() == rows + 1);
+  FLSA_REQUIRE(dirs == nullptr || (dirs->rows == rows && dirs->cols == cols));
+
+  const SubstitutionMatrix& sub = scheme.matrix();
+  const auto stride = static_cast<std::int32_t>(sub.alphabet().size());
+  Scratch& s = scratch();
+  prepare_indices(a, cols, stride,
+                  [&](std::size_t j) { return static_cast<std::int32_t>(b[j]); },
+                  s);
+  if (dirs != nullptr) {
+    run_affine<true>(rows, cols, scheme.gap_open(), scheme.gap_extend(),
+                     sub.data(), top, left, out_bottom, out_right, s, dirs);
+  } else {
+    run_affine<false>(rows, cols, scheme.gap_open(), scheme.gap_extend(),
+                      sub.data(), top, left, out_bottom, out_right, s);
+  }
+  if (counters) {
+    (dirs != nullptr ? counters->cells_stored : counters->cells_scored) +=
+        static_cast<std::uint64_t>(rows) * cols;
+  }
+  return true;
 }
 
 #endif  // FLSA_SIMD_X86
@@ -213,29 +348,8 @@ void sweep_rectangle_linear_simd(std::span<const Residue> a,
                                  std::span<Score> out_right,
                                  DpCounters* counters) {
 #if FLSA_SIMD_X86
-  const std::size_t rows = a.size();
-  const std::size_t cols = b.size();
-  if (simd_kernel_available() && rows > 0 && cols > 0) {
-    FLSA_REQUIRE(scheme.is_linear());
-    FLSA_REQUIRE(top.size() == cols + 1);
-    FLSA_REQUIRE(left.size() == rows + 1);
-    FLSA_REQUIRE(top[0] == left[0]);
-    FLSA_REQUIRE(out_bottom.size() == cols + 1);
-    FLSA_REQUIRE(out_right.empty() || out_right.size() == rows + 1);
-
-    const SubstitutionMatrix& sub = scheme.matrix();
-    const auto stride = static_cast<std::int32_t>(sub.alphabet().size());
-    Scratch& s = scratch();
-    prepare_indices(a, cols, stride,
-                    [&](std::size_t j) {
-                      return static_cast<std::int32_t>(b[j]);
-                    },
-                    s);
-    run_linear(rows, cols, scheme.gap_extend(), sub.data(), top, left,
-               out_bottom, out_right, s);
-    if (counters) {
-      counters->cells_scored += static_cast<std::uint64_t>(rows) * cols;
-    }
+  if (vector_sweep(a, b, scheme, top, left, out_bottom, out_right, nullptr,
+                   counters)) {
     return;
   }
 #endif
@@ -254,33 +368,51 @@ void sweep_rectangle_affine_simd(std::span<const Residue> a,
                                  std::span<AffineCell> out_right,
                                  DpCounters* counters) {
 #if FLSA_SIMD_X86
-  const std::size_t rows = a.size();
-  const std::size_t cols = b.size();
-  if (simd_kernel_available() && rows > 0 && cols > 0) {
-    FLSA_REQUIRE(top.size() == cols + 1);
-    FLSA_REQUIRE(left.size() == rows + 1);
-    FLSA_REQUIRE(top[0] == left[0]);
-    FLSA_REQUIRE(out_bottom.size() == cols + 1);
-    FLSA_REQUIRE(out_right.empty() || out_right.size() == rows + 1);
-
-    const SubstitutionMatrix& sub = scheme.matrix();
-    const auto stride = static_cast<std::int32_t>(sub.alphabet().size());
-    Scratch& s = scratch();
-    prepare_indices(a, cols, stride,
-                    [&](std::size_t j) {
-                      return static_cast<std::int32_t>(b[j]);
-                    },
-                    s);
-    run_affine(rows, cols, scheme.gap_open(), scheme.gap_extend(), sub.data(),
-               top, left, out_bottom, out_right, s);
-    if (counters) {
-      counters->cells_scored += static_cast<std::uint64_t>(rows) * cols;
-    }
+  if (vector_sweep(a, b, scheme, top, left, out_bottom, out_right, nullptr,
+                   counters)) {
     return;
   }
 #endif
   sweep_rectangle_affine(a, b, scheme, top, left, out_bottom, out_right,
                          counters);
+}
+
+void sweep_directions_linear_simd(std::span<const Residue> a,
+                                  std::span<const Residue> b,
+                                  const ScoringScheme& scheme,
+                                  std::span<const Score> top,
+                                  std::span<const Score> left,
+                                  std::span<Score> out_bottom,
+                                  std::span<Score> out_right,
+                                  const DirectionView& dirs,
+                                  DpCounters* counters) {
+#if FLSA_SIMD_X86
+  if (vector_sweep(a, b, scheme, top, left, out_bottom, out_right, &dirs,
+                   counters)) {
+    return;
+  }
+#endif
+  sweep_directions_linear(a, b, scheme, top, left, out_bottom, out_right,
+                          dirs, counters);
+}
+
+void sweep_directions_affine_simd(std::span<const Residue> a,
+                                  std::span<const Residue> b,
+                                  const ScoringScheme& scheme,
+                                  std::span<const AffineCell> top,
+                                  std::span<const AffineCell> left,
+                                  std::span<AffineCell> out_bottom,
+                                  std::span<AffineCell> out_right,
+                                  const DirectionView& dirs,
+                                  DpCounters* counters) {
+#if FLSA_SIMD_X86
+  if (vector_sweep(a, b, scheme, top, left, out_bottom, out_right, &dirs,
+                   counters)) {
+    return;
+  }
+#endif
+  sweep_directions_affine(a, b, scheme, top, left, out_bottom, out_right,
+                          dirs, counters);
 }
 
 std::vector<Score> last_row_profiled_simd(std::span<const Residue> a,
@@ -302,8 +434,8 @@ std::vector<Score> last_row_profiled_simd(std::span<const Residue> a,
     prepare_indices(a, cols, static_cast<std::int32_t>(cols),
                     [](std::size_t j) { return static_cast<std::int32_t>(j); },
                     s);
-    run_linear(rows, cols, scheme.gap_extend(), profile.row(0), row, left,
-               row, {}, s);
+    run_linear<false>(rows, cols, scheme.gap_extend(), profile.row(0), row,
+                      left, row, {}, s);
     if (counters) {
       counters->cells_scored += static_cast<std::uint64_t>(rows) * cols;
     }

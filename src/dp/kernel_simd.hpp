@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "dp/counters.hpp"
+#include "dp/direction.hpp"
 #include "dp/gotoh.hpp"
 #include "dp/query_profile.hpp"
 #include "scoring/scheme.hpp"
@@ -66,6 +67,28 @@ void sweep_rectangle_affine_simd(std::span<const Residue> a,
                                  std::span<AffineCell> out_bottom,
                                  std::span<AffineCell> out_right,
                                  DpCounters* counters = nullptr);
+
+/// Direction-recording sweeps (dp/direction.hpp) on the int32 vector
+/// cores; they run the scalar row loop off-x86 and on pre-SSE4.1 CPUs.
+void sweep_directions_linear_simd(std::span<const Residue> a,
+                                  std::span<const Residue> b,
+                                  const ScoringScheme& scheme,
+                                  std::span<const Score> top,
+                                  std::span<const Score> left,
+                                  std::span<Score> out_bottom,
+                                  std::span<Score> out_right,
+                                  const DirectionView& dirs,
+                                  DpCounters* counters = nullptr);
+
+void sweep_directions_affine_simd(std::span<const Residue> a,
+                                  std::span<const Residue> b,
+                                  const ScoringScheme& scheme,
+                                  std::span<const AffineCell> top,
+                                  std::span<const AffineCell> left,
+                                  std::span<AffineCell> out_bottom,
+                                  std::span<AffineCell> out_right,
+                                  const DirectionView& dirs,
+                                  DpCounters* counters = nullptr);
 
 /// Profiled last row through the vector lanes: the gathered table is the
 /// QueryProfile's flat [residue][position] rows instead of the |A|x|A|

@@ -18,6 +18,7 @@
 #include "dp/antidiagonal.hpp"
 #include "dp/banded.hpp"
 #include "dp/cooptimal.hpp"
+#include "dp/direction.hpp"
 #include "dp/format.hpp"
 #include "dp/fullmatrix.hpp"
 #include "dp/gotoh.hpp"

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/metrics.hpp"
 
@@ -133,6 +132,25 @@ double FaultInjector::uniform() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
+void FaultInjector::stall() {
+  std::unique_lock<std::mutex> lock(stall_mutex_);
+  stall_cv_.wait_for(lock, std::chrono::milliseconds(plan_.delay_ms),
+                     [this] { return interrupted_; });
+}
+
+void FaultInjector::interrupt() {
+  {
+    std::lock_guard<std::mutex> lock(stall_mutex_);
+    interrupted_ = true;
+  }
+  stall_cv_.notify_all();
+}
+
+void FaultInjector::resume() {
+  std::lock_guard<std::mutex> lock(stall_mutex_);
+  interrupted_ = false;
+}
+
 bool FaultInjector::inject_reject() {
   if (plan_.reject <= 0.0) return false;
   if (uniform() >= plan_.reject) return false;
@@ -143,7 +161,7 @@ bool FaultInjector::inject_reject() {
 ReadFault FaultInjector::inject_read() {
   if (plan_.delay > 0.0 && uniform() < plan_.delay) {
     fault_counter("delay").add();
-    std::this_thread::sleep_for(std::chrono::milliseconds(plan_.delay_ms));
+    stall();
   }
   if (plan_.drop > 0.0 && uniform() < plan_.drop) {
     fault_counter("drop").add();
@@ -155,7 +173,7 @@ ReadFault FaultInjector::inject_read() {
 WriteFault FaultInjector::inject_write() {
   if (plan_.delay > 0.0 && uniform() < plan_.delay) {
     fault_counter("delay").add();
-    std::this_thread::sleep_for(std::chrono::milliseconds(plan_.delay_ms));
+    stall();
   }
   if (plan_.drop > 0.0 && uniform() < plan_.drop) {
     fault_counter("drop").add();

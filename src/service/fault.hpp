@@ -28,6 +28,7 @@
 // transport fault, they are a byzantine peer, which no client can catch.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -99,13 +100,22 @@ class FaultInjector {
   /// Admission site. True: answer OVERLOADED without queueing.
   bool inject_reject();
 
-  /// Read site. Sleeps inline on a delay fault (a stalled reader is the
+  /// Read site. Stalls inline on a delay fault (a stalled reader is the
   /// fault), then reports whether to kill the connection.
   ReadFault inject_read();
 
-  /// Write site. Sleeps inline on a delay fault, then reports the action
+  /// Write site. Stalls inline on a delay fault, then reports the action
   /// for the frame about to be written.
   WriteFault inject_write();
+
+  /// Ends every stall in progress and makes later ones return at once,
+  /// until resume(). AlignmentServer::stop() calls it first, so a drain
+  /// does not wait out the injected delays of every pending read and
+  /// write in turn.
+  void interrupt();
+
+  /// Re-arms delay faults after interrupt() (AlignmentServer::start()).
+  void resume();
 
   /// For WriteFault::kTruncate: how many of `frame_size` on-the-wire
   /// bytes to actually send — always a strict prefix (< frame_size), so
@@ -121,10 +131,15 @@ class FaultInjector {
   /// Uniform draw in [0, 1) from the seeded generator (locked).
   double uniform();
   std::uint64_t next_u64();
+  /// Waits plan_.delay_ms, or less once interrupt() is called.
+  void stall();
 
   FaultPlan plan_;
   std::mutex mutex_;
   std::uint64_t state_;
+  std::mutex stall_mutex_;
+  std::condition_variable stall_cv_;
+  bool interrupted_ = false;  ///< guarded by stall_mutex_
 };
 
 }  // namespace service

@@ -18,6 +18,8 @@
 #include <utility>
 
 #include "dp/banded.hpp"
+#include "dp/gotoh.hpp"
+#include "dp/kernel.hpp"
 #include "parallel/thread_pool.hpp"
 #include "scoring/builtin.hpp"
 #include "scoring/scheme.hpp"
@@ -79,6 +81,17 @@ bool known_matrix(std::uint8_t byte) {
       return true;
   }
   return false;
+}
+
+/// Optimal global score from the linear-space score sweep: all that a
+/// score_only request needs, without the base cases and traceback of a
+/// full alignment.
+Score sweep_score(const Sequence& a, const Sequence& b,
+                  const ScoringScheme& scheme, KernelKind kernel) {
+  return scheme.is_linear()
+             ? global_score_linear(kernel, a.residues(), b.residues(), scheme)
+             : global_score_affine(kernel, a.residues(), b.residues(),
+                                   scheme);
 }
 
 /// REF_PUT seed length when the request leaves k at 0: exact DNA words
@@ -257,6 +270,7 @@ void AlignmentServer::start() {
   }
 
   started_at_ = std::chrono::steady_clock::now();
+  if (injector_) injector_->resume();
   draining_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
 
@@ -277,6 +291,8 @@ void AlignmentServer::start() {
 void AlignmentServer::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   draining_.store(true, std::memory_order_release);
+  // Injected delays end now: the drain below must not sleep them out.
+  if (injector_) injector_->interrupt();
 
   // 0. Hygiene timer down first — it walks uploads_, which step 4 clears.
   {
@@ -789,7 +805,12 @@ BatchItem AlignmentServer::run_align(
     // job of a coalesced batch, which is what coalescing amortizes).
     options.fastlsa.workspace = &aligner.workspace();
 
-    const Alignment alignment = flsa::align(a, b, scheme, options);
+    Alignment alignment;
+    if (request.score_only) {
+      alignment.score = sweep_score(a, b, scheme, options.fastlsa.kernel);
+    } else {
+      alignment = flsa::align(a, b, scheme, options);
+    }
     const auto done = std::chrono::steady_clock::now();
 
     // Deadline re-check after the (uncancellable) alignment: a request
@@ -1664,7 +1685,11 @@ void AlignmentServer::execute_align_ref(Aligner& aligner, Job& job,
       }
       validate(options.fastlsa);
       options.fastlsa.workspace = &aligner.workspace();
-      alignment = flsa::align(a, b, scheme, options);
+      if (request.score_only) {
+        alignment.score = sweep_score(a, b, scheme, options.fastlsa.kernel);
+      } else {
+        alignment = flsa::align(a, b, scheme, options);
+      }
     }
     const auto done = std::chrono::steady_clock::now();
 

@@ -99,6 +99,30 @@ TEST(FaultInjector, SameSeedSameSchedule) {
   }
 }
 
+TEST(FaultInjector, InterruptEndsStallsUntilResumed) {
+  using std::chrono::milliseconds;
+  using std::chrono::steady_clock;
+  FaultInjector injector(parse_fault_plan("seed=5,delay=1:60000"));
+  // A reader stalled for a minute is released at once by interrupt().
+  std::thread reader([&] { injector.inject_read(); });
+  std::this_thread::sleep_for(milliseconds(20));
+  const auto released = steady_clock::now();
+  injector.interrupt();
+  reader.join();
+  EXPECT_LT(steady_clock::now() - released, milliseconds(5000));
+  // Until resume(), later stalls return at once.
+  const auto later = steady_clock::now();
+  injector.inject_write();
+  EXPECT_LT(steady_clock::now() - later, milliseconds(5000));
+
+  FaultInjector short_stalls(parse_fault_plan("seed=5,delay=1:30"));
+  short_stalls.interrupt();
+  short_stalls.resume();
+  const auto rearmed = steady_clock::now();
+  short_stalls.inject_read();
+  EXPECT_GE(steady_clock::now() - rearmed, milliseconds(30));
+}
+
 // ---- The soak itself --------------------------------------------------
 
 struct SoakTally {

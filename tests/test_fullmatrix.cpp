@@ -2,6 +2,7 @@
 // algorithm, including its worked example (Figure 1).
 #include <gtest/gtest.h>
 
+#include "dp/direction.hpp"
 #include "dp/fullmatrix.hpp"
 #include "dp/kernel.hpp"
 #include "scoring/builtin.hpp"
@@ -129,7 +130,7 @@ TEST(FullMatrix, HomologousPairsScoreAboveRandom) {
   EXPECT_GT(related, unrelated);
 }
 
-TEST(FullMatrix, RegionFillMatchesWholeFill) {
+TEST(FullMatrix, TiledDirectionSweepMatchesWholeFill) {
   Xoshiro256 rng(24);
   const Sequence a = random_sequence(Alphabet::dna(), 12, rng);
   const Sequence b = random_sequence(Alphabet::dna(), 9, rng);
@@ -143,22 +144,48 @@ TEST(FullMatrix, RegionFillMatchesWholeFill) {
   fill_full_matrix_linear(a.residues(), b.residues(), scheme, top, left,
                           whole);
 
-  // Fill the same matrix in four quadrant regions (wavefront order).
-  Matrix2D<Score> tiled(a.size() + 1, b.size() + 1);
-  std::copy(top.begin(), top.end(), tiled.row(0));
-  for (std::size_t r = 0; r <= a.size(); ++r) tiled(r, 0) = left[r];
-  const std::size_t rm = 5, cm = 4;
-  fill_matrix_region_linear(a.residues(), b.residues(), scheme, tiled, 1, 1,
-                            rm, cm);
-  fill_matrix_region_linear(a.residues(), b.residues(), scheme, tiled, 1,
-                            cm + 1, rm, b.size() - cm);
-  fill_matrix_region_linear(a.residues(), b.residues(), scheme, tiled,
-                            rm + 1, 1, a.size() - rm, cm);
-  fill_matrix_region_linear(a.residues(), b.residues(), scheme, tiled,
-                            rm + 1, cm + 1, a.size() - rm, b.size() - cm);
-  for (std::size_t r = 0; r <= a.size(); ++r) {
-    for (std::size_t c = 0; c <= b.size(); ++c) {
-      EXPECT_EQ(tiled(r, c), whole(r, c)) << r << "," << c;
+  // Sweep the same rectangle as four quadrant tiles in wavefront order,
+  // each tile's bottom and right lines feeding the tiles below and right.
+  // Every tile must record the byte the score traceback would choose
+  // (diagonal, then up, then left) and publish the whole fill's values.
+  const std::size_t row_cut[] = {0, 5, a.size()};
+  const std::size_t col_cut[] = {0, 4, b.size()};
+  std::vector<Score> bottoms[2][2], rights[2][2];
+  for (std::size_t ti = 0; ti < 2; ++ti) {
+    for (std::size_t tj = 0; tj < 2; ++tj) {
+      const std::size_t rs = row_cut[ti], rows = row_cut[ti + 1] - rs;
+      const std::size_t cs = col_cut[tj], cols = col_cut[tj + 1] - cs;
+      const std::span<const Score> tile_top =
+          ti == 0 ? std::span<const Score>(top).subspan(cs, cols + 1)
+                  : std::span<const Score>(bottoms[0][tj]);
+      const std::span<const Score> tile_left =
+          tj == 0 ? std::span<const Score>(left).subspan(rs, rows + 1)
+                  : std::span<const Score>(rights[ti][0]);
+      bottoms[ti][tj].resize(cols + 1);
+      rights[ti][tj].resize(rows + 1);
+      std::vector<std::uint8_t> bytes(direction_bytes(rows, cols));
+      const DirectionView dirs{bytes.data(), rows, cols};
+      sweep_directions_linear(KernelKind::kAuto,
+                              a.residues().subspan(rs, rows),
+                              b.residues().subspan(cs, cols), scheme,
+                              tile_top, tile_left, bottoms[ti][tj],
+                              rights[ti][tj], dirs);
+      for (std::size_t r = 1; r <= rows; ++r) {
+        for (std::size_t c = 1; c <= cols; ++c) {
+          const std::size_t gr = rs + r, gc = cs + c;
+          const Score here = whole(gr, gc);
+          const std::uint8_t expected =
+              here == whole(gr - 1, gc - 1) +
+                          m.at(a[gr - 1], b[gc - 1])
+                  ? kDirDiag
+                  : (here == whole(gr - 1, gc) - 2 ? kDirUp : kDirLeft);
+          EXPECT_EQ(dirs.at(r, c), expected) << gr << "," << gc;
+        }
+        EXPECT_EQ(rights[ti][tj][r], whole(rs + r, cs + cols));
+      }
+      for (std::size_t c = 0; c <= cols; ++c) {
+        EXPECT_EQ(bottoms[ti][tj][c], whole(rs + rows, cs + c));
+      }
     }
   }
 }

@@ -1,6 +1,7 @@
 // Tests for the affine-gap (Gotoh) kernels and full-matrix baseline.
 #include <gtest/gtest.h>
 
+#include "dp/direction.hpp"
 #include "dp/fullmatrix.hpp"
 #include "dp/gotoh.hpp"
 #include "dp/kernel.hpp"
@@ -157,7 +158,7 @@ TEST(Gotoh, CompositionAcrossCachedRowMatchesWholeSweep) {
   }
 }
 
-TEST(Gotoh, RegionFillMatchesWholeFill) {
+TEST(Gotoh, TiledDirectionSweepMatchesWholeFill) {
   Xoshiro256 rng(46);
   const ScoringScheme scheme = affine_dna();
   const Sequence a = random_sequence(Alphabet::dna(), 10, rng);
@@ -170,16 +171,43 @@ TEST(Gotoh, RegionFillMatchesWholeFill) {
   fill_full_matrix_affine(a.residues(), b.residues(), scheme, top, left,
                           whole);
 
-  Matrix2D<AffineCell> tiled(a.size() + 1, b.size() + 1);
-  std::copy(top.begin(), top.end(), tiled.row(0));
-  for (std::size_t r = 0; r <= a.size(); ++r) tiled(r, 0) = left[r];
-  fill_matrix_region_affine(a.residues(), b.residues(), scheme, tiled, 1, 1,
-                            4, b.size());
-  fill_matrix_region_affine(a.residues(), b.residues(), scheme, tiled, 5, 1,
-                            a.size() - 4, b.size());
-  for (std::size_t r = 0; r <= a.size(); ++r) {
-    for (std::size_t c = 0; c <= b.size(); ++c) {
-      EXPECT_EQ(tiled(r, c), whole(r, c));
+  // Two horizontal bands: the lower band's top line is the upper band's
+  // bottom line. Each byte must hold what traceback_rectangle_affine
+  // would decide from the scores: D's source (diagonal, Ix, then Iy) and
+  // whether Ix / Iy open here (preferred over extending on a tie).
+  const Score open = scheme.gap_open();
+  const Score ext = scheme.gap_extend();
+  const std::size_t cols = b.size();
+  const std::size_t row_cut[] = {0, 4, a.size()};
+  std::vector<AffineCell> bottoms[2];
+  for (std::size_t band = 0; band < 2; ++band) {
+    const std::size_t rs = row_cut[band], rows = row_cut[band + 1] - rs;
+    const std::span<const AffineCell> band_top =
+        band == 0 ? std::span<const AffineCell>(top)
+                  : std::span<const AffineCell>(bottoms[0]);
+    bottoms[band].resize(cols + 1);
+    std::vector<std::uint8_t> bytes(direction_bytes(rows, cols));
+    const DirectionView dirs{bytes.data(), rows, cols};
+    sweep_directions_affine(
+        KernelKind::kAuto, a.residues().subspan(rs, rows), b.residues(),
+        scheme, band_top, std::span<const AffineCell>(left).subspan(rs, rows + 1),
+        bottoms[band], {}, dirs);
+    for (std::size_t r = 1; r <= rows; ++r) {
+      for (std::size_t c = 1; c <= cols; ++c) {
+        const std::size_t gr = rs + r;
+        const AffineCell& cell = whole(gr, c);
+        std::uint8_t expected =
+            cell.d == whole(gr - 1, c - 1).d +
+                          scheme.matrix().at(a[gr - 1], b[c - 1])
+                ? kDirDiag
+                : (cell.d == cell.ix ? kDirUp : kDirLeft);
+        if (cell.ix == whole(gr - 1, c).d + open + ext) expected |= kDirIxOpen;
+        if (cell.iy == whole(gr, c - 1).d + open + ext) expected |= kDirIyOpen;
+        EXPECT_EQ(dirs.at(r, c), expected) << gr << "," << c;
+      }
+    }
+    for (std::size_t c = 0; c <= cols; ++c) {
+      EXPECT_EQ(bottoms[band][c], whole(rs + rows, c));
     }
   }
 }

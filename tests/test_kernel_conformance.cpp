@@ -14,15 +14,22 @@
 //   * fixed-seed fuzzing over random alphabets/matrices/shapes across all
 //     tiers at several score magnitudes, so every tier sees inputs it can
 //     handle natively, inputs that rail mid-tile, and inputs its
-//     whole-call gates must reject.
+//     whole-call gates must reject,
+//   * the direction-recording base-case sweeps (dp/direction.hpp) write
+//     the scalar row loop's bytes and the score sweep's boundary lines on
+//     every kernel, and their byte traceback — alone, inside FastLSA at
+//     many base-case sizes, and across parallel base-case tiles — yields
+//     the full-matrix oracle's gapped strings.
 //
 // This suite runs under ASan/UBSan and TSan in CI (see ci.yml): the
 // saturating cores read through padded buffers, and the pads are part of
 // the contract being checked here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "benchlib/workloads.hpp"
@@ -477,6 +484,204 @@ TEST_P(NarrowFuzz, AllTiersBitIdenticalAtEveryMagnitude) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NarrowFuzz, ::testing::Range(0, 6));
+
+// ---------------------------------------------------------------------
+// Direction-recording base-case sweeps.
+
+/// Realistic tables plus a tie-heavy identity (1, -1) scheme with gap -1,
+/// where most cells have two or three equal predecessors; each is run with
+/// linear gaps and again with affine ones.
+std::vector<SchemeCase> direction_schemes() {
+  std::vector<SchemeCase> cases;
+  cases.push_back({"mdm78", &Alphabet::protein(),
+                   ScoringScheme::paper_default(), nullptr, nullptr});
+  cases.push_back(scheme_grid()[2]);  // dna
+  cases.push_back(identity_case("ties", "AC", 1, -1, -1));
+  const Score open[] = {-12, -8, -1};
+  const Score extend[] = {-2, -2, -1};
+  for (std::size_t i = 0; i < 3; ++i) {
+    SchemeCase affine = cases[i];
+    affine.name += "+affine";
+    affine.scheme = ScoringScheme(cases[i].scheme.matrix(), open[i],
+                                  extend[i]);
+    cases.push_back(affine);
+  }
+  return cases;
+}
+
+/// One rectangle with global boundaries on every kernel: bytes equal the
+/// scalar row loop's, lines equal the scalar score sweep's, and the byte
+/// traceback reproduces the full-matrix oracle's alignment.
+template <typename CellT>
+void expect_directions_conformant(const SchemeCase& c, const Sequence& a,
+                                  const Sequence& b) {
+  constexpr bool kAffine = std::is_same_v<CellT, AffineCell>;
+  const std::size_t m = a.size();
+  const std::size_t n = b.size();
+  std::vector<CellT> top(n + 1), left(m + 1);
+  if constexpr (kAffine) {
+    init_global_boundary_affine(c.scheme, top, /*horizontal=*/true);
+    init_global_boundary_affine(c.scheme, left, /*horizontal=*/false);
+  } else {
+    init_global_boundary_linear(c.scheme, top);
+    init_global_boundary_linear(c.scheme, left);
+  }
+  auto sweep = [&](KernelKind kind, std::span<CellT> bottom,
+                   std::span<CellT> right, const DirectionView* dirs) {
+    if (dirs == nullptr) {
+      if constexpr (kAffine) {
+        sweep_rectangle_affine(kind, a.residues(), b.residues(), c.scheme,
+                               top, left, bottom, right);
+      } else {
+        sweep_rectangle_linear(kind, a.residues(), b.residues(), c.scheme,
+                               top, left, bottom, right);
+      }
+    } else if constexpr (kAffine) {
+      sweep_directions_affine(kind, a.residues(), b.residues(), c.scheme,
+                              top, left, bottom, right, *dirs);
+    } else {
+      sweep_directions_linear(kind, a.residues(), b.residues(), c.scheme,
+                              top, left, bottom, right, *dirs);
+    }
+  };
+  std::vector<CellT> ref_bottom(n + 1), ref_right(m + 1);
+  sweep(KernelKind::kScalar, ref_bottom, ref_right, nullptr);
+  std::vector<std::uint8_t> ref_bytes(direction_bytes(m, n));
+  const DirectionView ref_dirs{ref_bytes.data(), m, n};
+  std::vector<CellT> scratch_bottom(n + 1), scratch_right(m + 1);
+  sweep(KernelKind::kScalar, scratch_bottom, scratch_right, &ref_dirs);
+  const Alignment fm = kAffine ? full_matrix_align_affine(a, b, c.scheme)
+                               : full_matrix_align(a, b, c.scheme);
+
+  for (const KernelKind kind : all_kernels()) {
+    const std::string tag = c.name + "/" + to_string(kind) +
+                            " m=" + std::to_string(m) +
+                            " n=" + std::to_string(n);
+    std::vector<CellT> bottom(n + 1), right(m + 1);
+    // Poisoned bytes: every interior byte must be written.
+    std::vector<std::uint8_t> bytes(direction_bytes(m, n), 0xFF);
+    const DirectionView dirs{bytes.data(), m, n};
+    DpCounters counters;
+    if constexpr (kAffine) {
+      sweep_directions_affine(kind, a.residues(), b.residues(), c.scheme,
+                              top, left, bottom, right, dirs, &counters);
+    } else {
+      sweep_directions_linear(kind, a.residues(), b.residues(), c.scheme,
+                              top, left, bottom, right, dirs, &counters);
+    }
+    ASSERT_EQ(bottom, ref_bottom) << tag;
+    ASSERT_EQ(right, ref_right) << tag;
+    ASSERT_TRUE(std::equal(bytes.data(), bytes.data() + m * n,
+                           ref_bytes.data()))
+        << tag;
+    EXPECT_EQ(counters.cells_stored, m * n) << tag;
+    EXPECT_EQ(counters.cells_scored, 0u) << tag;
+
+    Path path(Cell{m, n});
+    if constexpr (kAffine) {
+      traceback_directions_affine(dirs, m, n, AffineState::kD, path);
+    } else {
+      traceback_directions_linear(dirs, m, n, path);
+    }
+    extend_path_to_origin(path);
+    const Alignment aln = alignment_from_path(a, b, path, c.scheme);
+    ASSERT_EQ(aln.score, fm.score) << tag;
+    ASSERT_EQ(aln.gapped_a, fm.gapped_a) << tag;
+    ASSERT_EQ(aln.gapped_b, fm.gapped_b) << tag;
+  }
+}
+
+TEST(DirectionConformance, EveryKernelMatchesScalarBytesLinesAndOracle) {
+  Xoshiro256 rng(0xD1u);
+  struct Shape {
+    std::size_t m, n;
+  };
+  // 1 x n and n x 1 edges, sub-vector and lane-remainder squares, tall,
+  // wide, and a square with many full lane groups per diagonal.
+  const Shape shapes[] = {{1, 1},  {1, 37},   {37, 1},  {3, 5},
+                          {9, 17}, {200, 7},  {7, 200}, {64, 64},
+                          {97, 83}};
+  for (const SchemeCase& c : direction_schemes()) {
+    for (const Shape& s : shapes) {
+      const Sequence a = random_sequence(*c.alpha, s.m, rng);
+      const Sequence b = random_sequence(*c.alpha, s.n, rng);
+      if (c.scheme.is_linear()) {
+        expect_directions_conformant<Score>(c, a, b);
+      } else {
+        expect_directions_conformant<AffineCell>(c, a, b);
+      }
+    }
+  }
+}
+
+/// The pair the engine-level direction tests align: homologous, long
+/// enough for many base cases at small BM.
+SequencePair direction_pair(const Alphabet& alpha) {
+  Xoshiro256 rng(0xD2u);
+  MutationModel model;
+  return homologous_pair(alpha, 300, model, rng);
+}
+
+void expect_same_alignment(const Alignment& got, const Alignment& want,
+                           const std::string& tag) {
+  EXPECT_EQ(got.score, want.score) << tag;
+  EXPECT_EQ(got.gapped_a, want.gapped_a) << tag;
+  EXPECT_EQ(got.gapped_b, want.gapped_b) << tag;
+}
+
+TEST(DirectionConformance, FastLsaBaseCaseSizesMatchOracle) {
+  for (const SchemeCase& c : direction_schemes()) {
+    const SequencePair pair = direction_pair(*c.alpha);
+    const bool affine = !c.scheme.is_linear();
+    const Alignment fm = affine
+                             ? full_matrix_align_affine(pair.a, pair.b, c.scheme)
+                             : full_matrix_align(pair.a, pair.b, c.scheme);
+    for (const std::size_t bm : {16u, 64u, 256u, 1024u, 4096u}) {
+      for (const KernelKind kind : all_kernels()) {
+        FastLsaOptions opts;
+        opts.k = 4;
+        opts.base_case_cells = bm;
+        opts.kernel = kind;
+        FastLsaStats stats;
+        const Alignment fl =
+            affine ? fastlsa_align_affine(pair.a, pair.b, c.scheme, opts,
+                                          &stats)
+                   : fastlsa_align(pair.a, pair.b, c.scheme, opts, &stats);
+        const std::string tag = c.name + "/" + to_string(kind) +
+                                " bm=" + std::to_string(bm);
+        expect_same_alignment(fl, fm, tag);
+        EXPECT_GT(stats.base_case_invocations, 1u) << tag;
+        EXPECT_GT(stats.counters.traceback_steps, 0u) << tag;
+      }
+    }
+  }
+}
+
+TEST(DirectionConformance, ParallelBaseCaseTilesMatchOracle) {
+  for (const SchemeCase& c : direction_schemes()) {
+    const SequencePair pair = direction_pair(*c.alpha);
+    const bool affine = !c.scheme.is_linear();
+    const Alignment fm = affine
+                             ? full_matrix_align_affine(pair.a, pair.b, c.scheme)
+                             : full_matrix_align(pair.a, pair.b, c.scheme);
+    for (const std::size_t tiles : {1u, 3u, 16u}) {
+      FastLsaOptions opts;
+      opts.k = 4;
+      opts.base_case_cells = 8192;
+      ParallelOptions popts;
+      popts.threads = 3;
+      popts.base_case_tiles = tiles;
+      popts.min_tile_extent = 1;
+      const Alignment par =
+          affine ? parallel_fastlsa_align_affine(pair.a, pair.b, c.scheme,
+                                                 opts, popts)
+                 : parallel_fastlsa_align(pair.a, pair.b, c.scheme, opts,
+                                          popts);
+      expect_same_alignment(par, fm,
+                            c.name + " tiles=" + std::to_string(tiles));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace flsa

@@ -64,9 +64,12 @@ struct ChaosFleet {
     router->start();
   }
 
+  // Backends stop first: a stopping backend ends its injected stalls at
+  // once, which also releases a router health probe stuck in one (the
+  // router's stop() would otherwise wait for that probe's answer).
   ~ChaosFleet() {
-    router->stop();
     for (auto& backend : backends) backend->stop();
+    router->stop();
   }
 };
 
@@ -279,12 +282,13 @@ TEST(RouterChaos, HedgeTakesOverWhenABackendStalls) {
   config.hedge_budget_percent = 100;
   config.coalesce_max_jobs = 1;
   config.health_interval_ms = 60000;  // the prober must not eject the staller
-  ChaosFleet fleet({"seed=3,delay=1:1000", "off"}, config);
+  auto fleet = std::make_unique<ChaosFleet>(
+      std::vector<std::string>{"seed=3,delay=1:1000", "off"}, config);
 
   const std::uint64_t issued_before = counter("router.hedge.issued");
 
   Client client;
-  client.connect("127.0.0.1", fleet.router->port());
+  client.connect("127.0.0.1", fleet->router->port());
   constexpr int kRequests = 8;
   for (int i = 0; i < kRequests; ++i) {
     AlignRequest request;
@@ -312,8 +316,14 @@ TEST(RouterChaos, HedgeTakesOverWhenABackendStalls) {
   // at ~30ms and the clean twin answers these tiny jobs in microseconds.
   EXPECT_LT(elapsed.count(), 900)
       << "a client waited out the stalled backend";
-  // Teardown note: the staller still holds delayed reads; its stop()
-  // drains them (about a second) — the fleet destructor absorbs that.
+  // The staller still holds delayed reads and writes. Its stop() ends the
+  // injected stalls at once instead of sleeping out each 1s delay in turn.
+  const auto teardown_start = std::chrono::steady_clock::now();
+  fleet.reset();
+  const auto teardown =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - teardown_start);
+  EXPECT_LT(teardown.count(), 2000) << "fleet teardown waited out stalls";
 }
 
 TEST(RouterChaos, HedgeNeverResendsToTheSameBackend) {

@@ -123,6 +123,73 @@ TEST(Service, ScoreOnlySkipsTheCigar) {
   server.stop();
 }
 
+TEST(Service, ScoreOnlyScoresMatchFullAlignments) {
+  // score_only runs the linear-space score sweep instead of a full
+  // alignment. Its score must be the full alignment's for linear and
+  // affine gaps, protein and DNA, as single ALIGNs and inside ALIGN_BATCH.
+  AlignmentServer server;
+  server.start();
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  Xoshiro256 rng(61);
+  MutationModel model;
+  std::vector<AlignRequest> requests;
+  std::vector<std::int64_t> full_scores;
+  for (const WireMatrix matrix : {WireMatrix::kMdm78, WireMatrix::kDna}) {
+    const Alphabet& alphabet =
+        matrix == WireMatrix::kDna ? Alphabet::dna() : Alphabet::protein();
+    for (const Score gap_open : {0, -10}) {
+      for (const std::size_t length : {40u, 300u}) {
+        const SequencePair pair =
+            homologous_pair(alphabet, length, model, rng);
+        AlignRequest request;
+        request.matrix = matrix;
+        request.gap_open = gap_open;
+        request.gap_extend = -2;
+        request.a = pair.a.to_string();
+        request.b = pair.b.to_string();
+        const Response full = client.call(request);
+        const auto* full_ok = std::get_if<AlignResponse>(&full);
+        ASSERT_NE(full_ok, nullptr);
+        ASSERT_FALSE(full_ok->cigar.empty());
+
+        request.score_only = true;
+        const Response scored = client.call(request);
+        const auto* scored_ok = std::get_if<AlignResponse>(&scored);
+        ASSERT_NE(scored_ok, nullptr);
+        EXPECT_EQ(scored_ok->score, full_ok->score)
+            << to_string(matrix) << " open=" << gap_open << " n=" << length;
+        EXPECT_TRUE(scored_ok->cigar.empty());
+        EXPECT_EQ(scored_ok->cells, full_ok->cells);
+        requests.push_back(request);
+        full_scores.push_back(full_ok->score);
+      }
+    }
+  }
+
+  AlignBatchRequest batch;
+  batch.jobs = requests;
+  const Response answer = client.call(std::move(batch));
+  const auto* batched = std::get_if<AlignBatchResponse>(&answer);
+  ASSERT_NE(batched, nullptr);
+  ASSERT_EQ(batched->items.size(), full_scores.size());
+  for (std::size_t i = 0; i < full_scores.size(); ++i) {
+    const auto* item = std::get_if<AlignResponse>(&batched->items[i]);
+    ASSERT_NE(item, nullptr) << "batch item " << i;
+    EXPECT_EQ(item->score, full_scores[i]) << "batch item " << i;
+    EXPECT_TRUE(item->cigar.empty());
+  }
+
+  // The FastLSA options are still validated: a bad k is a bad request.
+  AlignRequest bad = requests.front();
+  bad.k = 1;
+  const Response rejected = client.call(std::move(bad));
+  const auto* error = std::get_if<ErrorResponse>(&rejected);
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->code, ErrorCode::kBadRequest);
+  server.stop();
+}
+
 TEST(Service, ConcurrentClientsMatchDirectAlignment) {
   AlignmentServer server;
   server.start();
